@@ -7,8 +7,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet is the static gate: go vet, plus gofmt, which fails on any file it
+# would reformat.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

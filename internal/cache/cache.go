@@ -56,13 +56,13 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// line is one way of a set, 16 bytes: tagd packs the tag with the dirty
+// bit (tag<<1 | dirty), and lru is the logical timestamp of the last
+// access — the smallest in a set is the least recently used way. A line
+// is valid iff lru > the cache's base (see Cache).
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a logical timestamp; the smallest value in a set is the
-	// least recently used way.
-	lru uint64
+	tagd uint64
+	lru  uint64
 }
 
 // Cache is one set-associative, write-back, write-allocate cache level.
@@ -70,8 +70,11 @@ type line struct {
 //
 // The line array is flat (sets*assoc entries, row-major by set) and both
 // geometry dimensions are powers of two, so an access is two shifts and a
-// mask — the index arithmetic is precomputed once at construction, never
-// per probe.
+// mask — the index arithmetic is precomputed per geometry, never per
+// probe. tick is monotone for the cache's lifetime; base is its value at
+// the last Reset, and a line stamped at or below base is invalid. That
+// makes Reset O(1) and lets Reconfigure reuse the array's capacity for any
+// geometry that fits, stale lines included.
 type Cache struct {
 	geom      timing.CacheGeom
 	sets      []line // sets*assoc lines, row-major by set
@@ -80,25 +83,45 @@ type Cache struct {
 	tagShift  uint   // blockBits + setBits: address -> tag
 	setMask   uint64
 	tick      uint64
+	base      uint64
 	stats     Stats
 }
 
 // New builds an empty cache with the given geometry.
 func New(geom timing.CacheGeom) (*Cache, error) {
-	if err := geom.Validate(); err != nil {
+	c := &Cache{}
+	if err := c.Reconfigure(geom); err != nil {
 		return nil, err
 	}
-	c := &Cache{
-		geom:    geom,
-		sets:    make([]line, geom.Sets*geom.Assoc),
-		setMask: uint64(geom.Sets - 1),
+	return c, nil
+}
+
+// Reconfigure gives the cache a new geometry and returns it to the
+// just-constructed state, reusing the line array when its capacity
+// suffices and allocating only when it must grow. The result is
+// indistinguishable from New(geom).
+func (c *Cache) Reconfigure(geom timing.CacheGeom) error {
+	if err := geom.Validate(); err != nil {
+		return err
 	}
-	for b := geom.BlockBytes; b > 1; b >>= 1 {
-		c.blockBits++
+	c.reconfigure(geom)
+	return nil
+}
+
+// reconfigure is Reconfigure for an already validated geometry.
+func (c *Cache) reconfigure(geom timing.CacheGeom) {
+	n := geom.Sets * geom.Assoc
+	if cap(c.sets) >= n {
+		c.sets = c.sets[:n]
+	} else {
+		c.sets = make([]line, n)
 	}
+	c.geom = geom
+	c.blockBits = uint(log2(geom.BlockBytes))
 	c.setBits = uint(log2(geom.Sets))
 	c.tagShift = c.blockBits + c.setBits
-	return c, nil
+	c.setMask = uint64(geom.Sets - 1)
+	c.Reset()
 }
 
 // Geom returns the cache geometry.
@@ -108,10 +131,10 @@ func (c *Cache) Geom() timing.CacheGeom { return c.geom }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and statistics, returning the cache to its
-// just-constructed state without reallocating the line array.
+// just-constructed state in O(1): every line already stamped is at or
+// below the new base, so all of them read as invalid.
 func (c *Cache) Reset() {
-	clear(c.sets)
-	c.tick = 0
+	c.base = c.tick
 	c.stats = Stats{}
 }
 
@@ -122,37 +145,46 @@ func (c *Cache) access(addr uint64, write bool) (hit, writeback bool, victimAddr
 	c.stats.Accesses++
 	c.tick++
 	set := (addr >> c.blockBits) & c.setMask
-	tag := addr >> c.tagShift
+	tagd := addr >> c.tagShift << 1 // blocks are >= 8 B, so no tag bit is lost
+	base := c.base
 	ways := c.sets[set*uint64(c.geom.Assoc) : (set+1)*uint64(c.geom.Assoc)]
+	// The valid ways of a set always form a prefix: a fill takes the
+	// first invalid way, and nothing invalidates a line between resets.
+	// So the probe stops at the first invalid way, which is the victim.
+	victim := -1
 	for i := range ways {
 		w := &ways[i]
-		if w.valid && w.tag == tag {
+		if w.lru <= base {
+			victim = i
+			break
+		}
+		if w.tagd&^1 == tagd {
 			w.lru = c.tick
 			if write {
-				w.dirty = true
+				w.tagd |= 1
 			}
 			return true, false, 0
 		}
 	}
 	c.stats.Misses++
-	// Victim: first invalid way, else true-LRU.
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
+	if victim < 0 {
+		// Set full: evict the true-LRU way, writing it back if dirty.
+		victim = 0
+		for i := 1; i < len(ways); i++ {
+			if ways[i].lru < ways[victim].lru {
+				victim = i
+			}
 		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
+		if v := ways[victim].tagd; v&1 != 0 {
+			writeback = true
+			victimAddr = (v>>1<<c.setBits | set) << c.blockBits
+			c.stats.Writebacks++
 		}
 	}
-	v := &ways[victim]
-	if v.valid && v.dirty {
-		writeback = true
-		victimAddr = (v.tag<<c.setBits | set) << c.blockBits
-		c.stats.Writebacks++
+	if write {
+		tagd |= 1
 	}
-	*v = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	ways[victim] = line{tagd: tagd, lru: c.tick}
 	return false, writeback, victimAddr
 }
 
@@ -160,10 +192,13 @@ func (c *Cache) access(addr uint64, write bool) (hit, writeback bool, victimAddr
 // perturbing LRU state or statistics. Intended for tests.
 func (c *Cache) Contains(addr uint64) bool {
 	set := (addr >> c.blockBits) & c.setMask
-	tag := addr >> c.tagShift
+	tagd := addr >> c.tagShift << 1
 	ways := c.sets[set*uint64(c.geom.Assoc) : (set+1)*uint64(c.geom.Assoc)]
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].lru <= c.base {
+			return false // valid ways form a prefix; see access
+		}
+		if ways[i].tagd&^1 == tagd {
 			return true
 		}
 	}
@@ -186,15 +221,27 @@ type Hierarchy struct {
 
 // NewHierarchy composes an L1 and a unified L2.
 func NewHierarchy(l1Geom, l2Geom timing.CacheGeom) (*Hierarchy, error) {
-	l1, err := New(l1Geom)
-	if err != nil {
-		return nil, fmt.Errorf("cache: L1: %w", err)
+	h := &Hierarchy{l1: &Cache{}, l2: &Cache{}}
+	if err := h.Reconfigure(l1Geom, l2Geom); err != nil {
+		return nil, err
 	}
-	l2, err := New(l2Geom)
-	if err != nil {
-		return nil, fmt.Errorf("cache: L2: %w", err)
+	return h, nil
+}
+
+// Reconfigure gives both levels new geometries and returns the hierarchy
+// to the just-constructed state, reusing each level's line array where
+// its capacity suffices (see Cache.Reconfigure). Both geometries are
+// validated first, so on error the hierarchy is unchanged.
+func (h *Hierarchy) Reconfigure(l1Geom, l2Geom timing.CacheGeom) error {
+	if err := l1Geom.Validate(); err != nil {
+		return fmt.Errorf("cache: L1: %w", err)
 	}
-	return &Hierarchy{l1: l1, l2: l2}, nil
+	if err := l2Geom.Validate(); err != nil {
+		return fmt.Errorf("cache: L2: %w", err)
+	}
+	h.l1.reconfigure(l1Geom)
+	h.l2.reconfigure(l2Geom)
+	return nil
 }
 
 // Access performs a load (write=false) or store (write=true) and returns
@@ -220,9 +267,3 @@ func (h *Hierarchy) L1() *Cache { return h.l1 }
 
 // L2 returns the second-level cache.
 func (h *Hierarchy) L2() *Cache { return h.l2 }
-
-// Reset clears both levels.
-func (h *Hierarchy) Reset() {
-	h.l1.Reset()
-	h.l2.Reset()
-}

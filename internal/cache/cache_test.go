@@ -228,6 +228,144 @@ func TestFullAssociativityRemovesConflicts(t *testing.T) {
 	}
 }
 
+// reconfigureGeoms is the geometry walk the reuse property tests drive a
+// cache through: line counts that grow, shrink and grow again, so later
+// geometries run over reused capacity still holding stale lines, and
+// tags, set indices and block offsets all change meaning between steps.
+var reconfigureGeoms = []timing.CacheGeom{
+	{Sets: 16, Assoc: 2, BlockBytes: 32},
+	{Sets: 256, Assoc: 4, BlockBytes: 8},
+	{Sets: 32, Assoc: 1, BlockBytes: 64},
+	{Sets: 64, Assoc: 3, BlockBytes: 16},
+	{Sets: 1024, Assoc: 2, BlockBytes: 8},
+	{Sets: 16, Assoc: 8, BlockBytes: 128},
+	{Sets: 128, Assoc: 4, BlockBytes: 32},
+}
+
+// randomGeomWalk returns the fixed walk followed by random steps over it.
+func randomGeomWalk(rng *rand.Rand, steps int) []timing.CacheGeom {
+	walk := append([]timing.CacheGeom(nil), reconfigureGeoms...)
+	for i := 0; i < steps; i++ {
+		walk = append(walk, reconfigureGeoms[rng.Intn(len(reconfigureGeoms))])
+	}
+	return walk
+}
+
+// accessStream is a load/store address stream concentrated enough to hit,
+// conflict and evict dirty lines in every geometry of the walk.
+func accessStream(rng *rand.Rand, n int) (addrs []uint64, writes []bool) {
+	for i := 0; i < n; i++ {
+		span := 1 << 12
+		if rng.Intn(4) == 0 {
+			span = 1 << 18
+		}
+		addrs = append(addrs, uint64(rng.Intn(span)))
+		writes = append(writes, rng.Intn(3) == 0)
+	}
+	return addrs, writes
+}
+
+// TestCacheReconfigureMatchesFresh is the reuse contract at the cache
+// level: one Cache carried through a walk of geometries by Reconfigure
+// must answer every access exactly as a fresh New of that geometry —
+// hit, writeback and victim address — with identical statistics.
+func TestCacheReconfigureMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var reused *Cache
+	for step, g := range randomGeomWalk(rng, 24) {
+		if reused == nil {
+			reused = mustCache(t, g)
+		} else if err := reused.Reconfigure(g); err != nil {
+			t.Fatalf("step %d: Reconfigure(%v) = %v", step, g, err)
+		}
+		if reused.Geom() != g || reused.Stats() != (Stats{}) {
+			t.Fatalf("step %d: reconfigured cache not in just-constructed state", step)
+		}
+		fresh := mustCache(t, g)
+		addrs, writes := accessStream(rng, 3000)
+		for i, a := range addrs {
+			h1, wb1, v1 := fresh.access(a, writes[i])
+			h2, wb2, v2 := reused.access(a, writes[i])
+			if h1 != h2 || wb1 != wb2 || v1 != v2 {
+				t.Fatalf("step %d (%v) access %d %#x: reused (%v,%v,%#x) != fresh (%v,%v,%#x)",
+					step, g, i, a, h2, wb2, v2, h1, wb1, v1)
+			}
+		}
+		if reused.Stats() != fresh.Stats() {
+			t.Fatalf("step %d (%v): stats %+v != fresh %+v", step, g, reused.Stats(), fresh.Stats())
+		}
+	}
+}
+
+// TestHierarchyReconfigureMatchesFresh lifts the reuse contract to the
+// hierarchy, where L1 writebacks feed L2: every access must be served by
+// the same level as in a fresh NewHierarchy, with identical per-level
+// statistics.
+func TestHierarchyReconfigureMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	l1s := randomGeomWalk(rng, 16)
+	l2s := randomGeomWalk(rng, 16)
+	var reused *Hierarchy
+	for step := range l1s {
+		// L2 rides a shifted walk so the two levels change independently.
+		l1, l2 := l1s[step], l2s[(step+3)%len(l2s)]
+		if reused == nil {
+			h, err := NewHierarchy(l1, l2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused = h
+		} else if err := reused.Reconfigure(l1, l2); err != nil {
+			t.Fatalf("step %d: Reconfigure = %v", step, err)
+		}
+		fresh, err := NewHierarchy(l1, l2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs, writes := accessStream(rng, 3000)
+		for i, a := range addrs {
+			if got, want := reused.Access(a, writes[i]), fresh.Access(a, writes[i]); got != want {
+				t.Fatalf("step %d (L1 %v, L2 %v) access %d %#x: served by %v, fresh by %v",
+					step, l1, l2, i, a, got, want)
+			}
+		}
+		if reused.L1().Stats() != fresh.L1().Stats() || reused.L2().Stats() != fresh.L2().Stats() {
+			t.Fatalf("step %d: stats L1 %+v L2 %+v, fresh L1 %+v L2 %+v", step,
+				reused.L1().Stats(), reused.L2().Stats(), fresh.L1().Stats(), fresh.L2().Stats())
+		}
+	}
+}
+
+// TestReconfigureReusesCapacity checks that a geometry within the line
+// array's capacity reconfigures without allocating, and that a rejected
+// geometry leaves the hierarchy untouched.
+func TestReconfigureReusesCapacity(t *testing.T) {
+	big := timing.CacheGeom{Sets: 1024, Assoc: 4, BlockBytes: 32}
+	small := timing.CacheGeom{Sets: 64, Assoc: 2, BlockBytes: 64}
+	h, err := NewHierarchy(big, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := h.Reconfigure(small, big); err != nil {
+			t.Fatal(err)
+		}
+		h.Access(0x40, true)
+		if err := h.Reconfigure(big, small); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("reconfiguring within capacity allocates %.1f times, want 0", allocs)
+	}
+	bad := timing.CacheGeom{Sets: 3, Assoc: 1, BlockBytes: 32}
+	if err := h.Reconfigure(small, bad); err == nil {
+		t.Fatal("Reconfigure accepted a non-power-of-two L2")
+	}
+	if h.L1().Geom() != big || h.L2().Geom() != small {
+		t.Errorf("rejected Reconfigure changed geometry to %v / %v", h.L1().Geom(), h.L2().Geom())
+	}
+}
+
 func BenchmarkHierarchyAccess(b *testing.B) {
 	h, err := NewHierarchy(
 		timing.CacheGeom{Sets: 512, Assoc: 2, BlockBytes: 32},

@@ -130,10 +130,13 @@ type Engine struct {
 	pool   *Pool
 
 	// runners pools *sim.Runner scratch state (pipeline arenas, predictor
-	// tables, cache arrays) across uncached simulations, so steady-state
-	// evaluation allocates nothing per run. multis pools the equivalent
-	// lockstep state — per-lane arenas plus the shared delivery block —
-	// across EvaluateBatch calls.
+	// tables, cache arrays) across uncached simulations; a pooled runner
+	// reconfigures its cache arrays in place for any geometry within the
+	// capacity it has seen, so steady-state evaluation allocates nothing
+	// per run even as annealing moves the geometry. multis pools the
+	// equivalent lockstep state — per-lane arenas plus the shared delivery
+	// block — across EvaluateBatch calls. A GC cycle may empty either
+	// pool; at a few runner objects per cold session that costs little.
 	runners sync.Pool
 	multis  sync.Pool
 

@@ -203,7 +203,7 @@ type Core struct {
 	flipMask   []uint64 // ring bitmap: flip fired, exact depReady predicate governs
 	wheelHead  []uint64 // wake wheel: bucket t&wheelMask holds entries waking at cycle t
 	wheelMask  uint64
-	lastDrain  int64    // latest cycle whose wheel bucket has been drained
+	lastDrain  int64 // latest cycle whose wheel bucket has been drained
 	readyCount int
 	flipCount  int
 	wheelCount int

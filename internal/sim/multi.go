@@ -13,7 +13,6 @@ import (
 	"xpscalar/internal/cache"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/tech"
-	"xpscalar/internal/timing"
 	"xpscalar/internal/workload"
 )
 
@@ -43,16 +42,41 @@ func coreParams(c Config) pipeline.Params {
 	}
 }
 
-// lane is one configuration's reusable scratch state inside a MultiRunner:
-// the same predictor-table and cache-array reuse policy Runner applies,
-// held per lane so consecutive groups with matching shapes reset instead
-// of reallocating.
+// lane is one configuration's reusable predictor and cache state, held by
+// a Runner and by each lane of a MultiRunner so the two reuse it the same
+// way.
 type lane struct {
+	// Predictor tables are reused when consecutive runs share a predictor
+	// configuration (the paper holds it fixed across the whole search).
 	predCfg bpred.Config
 	pred    bpred.Predictor
 
-	l1Geom, l2Geom timing.CacheGeom
-	mem            *cache.Hierarchy
+	// The cache hierarchy is built once and reconfigured in place after
+	// that, so a geometry change reuses the line arrays' capacity.
+	mem *cache.Hierarchy
+}
+
+// prepare readies the lane's predictor and caches for a run of c, in the
+// state fresh construction would give them.
+func (ln *lane) prepare(c *Config) error {
+	if ln.pred != nil && ln.predCfg == c.Bpred {
+		ln.pred.Reset()
+	} else {
+		pred, err := bpred.New(c.Bpred)
+		if err != nil {
+			return err
+		}
+		ln.pred, ln.predCfg = pred, c.Bpred
+	}
+	if ln.mem != nil {
+		return ln.mem.Reconfigure(c.L1D, c.L2)
+	}
+	mem, err := cache.NewHierarchy(c.L1D, c.L2)
+	if err != nil {
+		return err
+	}
+	ln.mem = mem
+	return nil
 }
 
 // MultiRunner evaluates groups of configurations against one instruction
@@ -103,23 +127,8 @@ func (r *MultiRunner) RunSource(dst []Result, cs []Config, src workload.Source, 
 	for i := range cs {
 		c := &cs[i]
 		ln := &r.lanes[i]
-		if ln.pred != nil && ln.predCfg == c.Bpred {
-			ln.pred.Reset()
-		} else {
-			pred, err := bpred.New(c.Bpred)
-			if err != nil {
-				return fmt.Errorf("sim: lockstep lane %d: %w", i, err)
-			}
-			ln.pred, ln.predCfg = pred, c.Bpred
-		}
-		if ln.mem != nil && ln.l1Geom == c.L1D && ln.l2Geom == c.L2 {
-			ln.mem.Reset()
-		} else {
-			mem, err := cache.NewHierarchy(c.L1D, c.L2)
-			if err != nil {
-				return fmt.Errorf("sim: lockstep lane %d: %w", i, err)
-			}
-			ln.mem, ln.l1Geom, ln.l2Geom = mem, c.L1D, c.L2
+		if err := ln.prepare(c); err != nil {
+			return fmt.Errorf("sim: lockstep lane %d: %w", i, err)
 		}
 		params[i] = coreParams(*c)
 		preds[i] = ln.pred

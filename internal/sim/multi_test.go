@@ -44,7 +44,7 @@ func neighborhood(tb testing.TB, tp tech.Params, k int) []Config {
 // TestMultiRunnerMatchesScalar is the lockstep contract at the sim layer:
 // each lane of a group must reproduce a scalar Runner evaluation of the
 // same configuration over the same stream, bit for bit, including across
-// MultiRunner reuse.
+// MultiRunner reuse and cache-geometry changes.
 func TestMultiRunnerMatchesScalar(t *testing.T) {
 	tp := tech.Default()
 	prof, _ := workload.ByName("gzip")
@@ -56,10 +56,16 @@ func TestMultiRunnerMatchesScalar(t *testing.T) {
 	}
 	tr := workload.NewTraceReaderFrom(gen, n)
 
+	// Every lane walks the geometry sweep, offset by its index, so lanes
+	// grow, shrink and regrow their caches from round to round.
+	sweep := geometrySweep(t, tp)
 	var mr MultiRunner
-	var r Runner
-	for round, k := range []int{8, 2, 8} {
+	for round, k := range []int{8, 2, 8, 8, 8} {
 		cs := neighborhood(t, tp, k)
+		for i := range cs {
+			g := sweep[(round+i)%len(sweep)]
+			cs[i].L1D, cs[i].L2 = g.L1D, g.L2
+		}
 		dst := make([]Result, k)
 		tr.Reset()
 		if err := mr.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
@@ -67,7 +73,7 @@ func TestMultiRunnerMatchesScalar(t *testing.T) {
 		}
 		for i := range cs {
 			tr.Reset()
-			want, err := r.RunSource(cs[i], tr, "gzip", n, tp)
+			want, err := RunSource(cs[i], tr, "gzip", n, tp)
 			if err != nil {
 				t.Fatalf("round %d lane %d scalar: %v", round, i, err)
 			}

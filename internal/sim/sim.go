@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"xpscalar/internal/bpred"
-	"xpscalar/internal/cache"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/timing"
@@ -218,19 +217,14 @@ func RunSource(c Config, src workload.Source, name string, n int, t tech.Params)
 // zero-value Runner is ready to use. Reusing one Runner across evaluations
 // resets this state instead of reallocating it, which removes the per-run
 // allocation cost on hot paths (design-space search evaluates millions of
-// configurations); results are bit-identical to fresh construction. A
-// Runner is not safe for concurrent use — pool them per worker.
+// configurations); results are bit-identical to fresh construction. Cache
+// geometry changes on most annealing steps, so the cache arrays are
+// reconfigured in place rather than matched: once a Runner has seen its
+// largest geometries it allocates nothing, whatever the next geometry is.
+// A Runner is not safe for concurrent use — pool them per worker.
 type Runner struct {
 	core pipeline.Core
-
-	// Predictor tables are reused when consecutive runs share a predictor
-	// configuration (the paper holds it fixed across the whole search).
-	predCfg bpred.Config
-	pred    bpred.Predictor
-
-	// Cache arrays are reused when both geometries match the previous run.
-	l1Geom, l2Geom timing.CacheGeom
-	mem            *cache.Hierarchy
+	lane
 }
 
 // Run evaluates n instructions of the workload's synthetic stream, as the
@@ -252,23 +246,8 @@ func (r *Runner) RunSource(c Config, src workload.Source, name string, n int, t 
 	if err := c.Validate(t); err != nil {
 		return Result{}, err
 	}
-	if r.pred != nil && r.predCfg == c.Bpred {
-		r.pred.Reset()
-	} else {
-		pred, err := bpred.New(c.Bpred)
-		if err != nil {
-			return Result{}, err
-		}
-		r.pred, r.predCfg = pred, c.Bpred
-	}
-	if r.mem != nil && r.l1Geom == c.L1D && r.l2Geom == c.L2 {
-		r.mem.Reset()
-	} else {
-		mem, err := cache.NewHierarchy(c.L1D, c.L2)
-		if err != nil {
-			return Result{}, err
-		}
-		r.mem, r.l1Geom, r.l2Geom = mem, c.L1D, c.L2
+	if err := r.prepare(&c); err != nil {
+		return Result{}, err
 	}
 	res, err := r.core.Run(coreParams(c), src, r.pred, r.mem, n)
 	if err != nil {

@@ -279,8 +279,8 @@ func FitCacheSets(budgetNs float64, assoc, blockBytes int, level int, t tech.Par
 // cacheAssocs and cacheBlocks bound the geometry alternatives considered by
 // the fitting search; they match the ranges observed in the paper's Table 4.
 var (
-	cacheAssocs = []int{1, 2, 4, 8, 16}
-	cacheBlocks = []int{8, 16, 32, 64, 128, 256, 512}
+	cacheAssocs = [...]int{1, 2, 4, 8, 16}
+	cacheBlocks = [...]int{8, 16, 32, 64, 128, 256, 512}
 )
 
 // CacheCandidates returns every geometry within the level's capacity bounds
@@ -292,29 +292,40 @@ func CacheCandidates(budgetNs float64, level int, t tech.Params) []CacheGeom {
 	if level == 2 {
 		minBytes, maxBytes = MinL2Bytes, MaxL2Bytes
 	}
-	var out []CacheGeom
+	// At most one candidate per (assoc, block) pair, so the working set
+	// lives on the stack and the result is the only allocation.
+	var buf [len(cacheAssocs) * len(cacheBlocks)]fitted
+	fit := buf[:0]
 	for _, assoc := range cacheAssocs {
 		for _, block := range cacheBlocks {
 			// Largest set count fitting both budget and bounds.
-			var best CacheGeom
+			var best fitted
 			for sets := 16; ; sets <<= 1 {
 				g := CacheGeom{Sets: sets, Assoc: assoc, BlockBytes: block}
 				if g.SizeBytes() > maxBytes {
 					break
 				}
-				if !Fits(CacheAccessNs(g, t), budgetNs) {
+				ns := CacheAccessNs(g, t)
+				if !Fits(ns, budgetNs) {
 					break
 				}
 				if g.SizeBytes() >= minBytes {
-					best = g
+					best = fitted{g, ns}
 				}
 			}
-			if best.Sets > 0 {
-				out = append(out, best)
+			if best.g.Sets > 0 {
+				fit = append(fit, best)
 			}
 		}
 	}
-	sortGeoms(out, t)
+	if len(fit) == 0 {
+		return nil
+	}
+	sortFitted(fit)
+	out := make([]CacheGeom, len(fit))
+	for i, f := range fit {
+		out[i] = f.g
+	}
 	return out
 }
 
@@ -328,15 +339,22 @@ func MaxCache(budgetNs float64, level int, t tech.Params) CacheGeom {
 	return cands[len(cands)-1]
 }
 
-func sortGeoms(gs []CacheGeom, t tech.Params) {
+// fitted is a candidate geometry with the access time the fitting search
+// already computed for it, so sorting never recomputes it.
+type fitted struct {
+	g  CacheGeom
+	ns float64
+}
+
+func sortFitted(fs []fitted) {
 	// Insertion sort: the slices are tiny and this avoids pulling in sort
 	// for a two-key comparison.
-	for i := 1; i < len(gs); i++ {
+	for i := 1; i < len(fs); i++ {
 		for j := i; j > 0; j-- {
-			a, b := gs[j-1], gs[j]
-			if a.SizeBytes() > b.SizeBytes() ||
-				(a.SizeBytes() == b.SizeBytes() && CacheAccessNs(a, t) > CacheAccessNs(b, t)) {
-				gs[j-1], gs[j] = gs[j], gs[j-1]
+			a, b := fs[j-1], fs[j]
+			if a.g.SizeBytes() > b.g.SizeBytes() ||
+				(a.g.SizeBytes() == b.g.SizeBytes() && a.ns > b.ns) {
+				fs[j-1], fs[j] = fs[j], fs[j-1]
 			} else {
 				break
 			}

@@ -1,7 +1,9 @@
 package timing
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +187,39 @@ func TestCacheCandidatesFitAndOrdered(t *testing.T) {
 				t.Errorf("candidates not ordered by capacity: %v after %d bytes", g, prevSize)
 			}
 			prevSize = g.SizeBytes()
+		}
+	}
+}
+
+// TestCacheCandidatesPinned pins the exact candidate lists, order included,
+// at several budgets on both levels. Equal-capacity candidates are ordered
+// by access time, so this also pins the tie-break the fitting search's own
+// access-time values drive. The lists were recorded while the sort still
+// recomputed access times, so they pin that reusing them kept the order.
+func TestCacheCandidatesPinned(t *testing.T) {
+	tp := tech.Default()
+	cases := []struct {
+		level   int
+		clockNs float64
+		cycles  int
+		want    string // sets/assoc/block per candidate, in order
+	}{
+		{1, 0.25, 2, "64/4/16 64/8/8 32/8/16 32/4/32 32/16/8 16/16/16 16/8/32 512/2/8 256/2/16 128/2/32 256/4/8 2048/1/8 1024/1/16 512/1/32 256/1/64"},
+		{1, 0.33, 4, "256/2/256 128/4/256 64/8/256 32/16/256 1024/1/256 16384/1/32 8192/1/64 32768/1/16 65536/1/8 8192/2/32 4096/2/64 4096/4/32 4096/1/128 2048/4/64 2048/8/32 1024/8/64 16384/2/16 1024/16/32 512/16/64 8192/4/16 4096/8/16 2048/16/16 32768/2/8 16384/4/8 8192/8/8 2048/2/128 4096/16/8 1024/4/128 512/8/128 256/16/128"},
+		{1, 0.5, 3, "32/1/512 512/2/256 256/4/256 128/8/256 64/16/256 16384/1/32 8192/1/64 32768/1/16 65536/1/8 8192/2/32 4096/2/64 4096/4/32 4096/1/128 2048/4/64 2048/8/32 1024/8/64 16384/2/16 1024/16/32 512/16/64 8192/4/16 4096/8/16 2048/16/16 32768/2/8 16384/4/8 8192/8/8 2048/2/128 4096/16/8 1024/4/128 512/8/128 256/16/128 2048/1/256"},
+		{1, 0.33, 12, "16384/1/32 8192/1/64 32768/1/16 65536/1/8 8192/2/32 4096/2/64 4096/4/32 4096/1/128 2048/4/64 2048/8/32 1024/8/64 16384/2/16 1024/16/32 512/16/64 8192/4/16 4096/8/16 2048/16/16 32768/2/8 16384/4/8 8192/8/8 2048/2/128 4096/16/8 1024/4/128 512/8/128 256/16/128 2048/1/256 1024/2/256 512/4/256 256/8/256 128/16/256 1024/1/512 512/2/512 256/4/512 128/8/512 64/16/512"},
+		{2, 0.25, 2, ""},
+		{2, 0.33, 4, "256/2/256 128/4/256 64/8/256 32/16/256 1024/1/256 16384/1/32 8192/1/64 32768/1/16 65536/1/8 8192/2/32 4096/2/64 4096/4/32 4096/1/128 2048/4/64 2048/8/32 1024/8/64 16384/2/16 1024/16/32 512/16/64 8192/4/16 4096/8/16 2048/16/16 32768/2/8 16384/4/8 8192/8/8 2048/2/128 4096/16/8 1024/4/128 512/8/128 256/16/128"},
+		{2, 0.5, 3, "512/2/256 256/4/256 128/8/256 64/16/256 16384/4/8 8192/8/8 4096/16/8 512/8/128 256/16/128 2048/1/256 16384/1/64 32768/1/32 65536/1/16 8192/2/64 16384/2/32 8192/1/128 131072/1/8 4096/4/64 8192/4/32 2048/8/64 4096/8/32 1024/16/64 2048/16/32 32768/2/16 16384/4/16 8192/8/16 4096/16/16 4096/2/128 65536/2/8 2048/4/128"},
+		{2, 0.33, 12, "4096/2/512 2048/4/512 1024/8/512 512/16/512 131072/1/64 262144/1/32 65536/1/128 65536/2/64 32768/4/64 16384/8/64 524288/1/16 8192/16/64 131072/2/32 65536/4/32 32768/8/32 16384/16/32 32768/2/128 16384/4/128 8192/8/128 4096/16/128 262144/2/16 131072/4/16 65536/8/16 32768/16/16 1048576/1/8 32768/1/256 524288/2/8 16384/2/256 8192/4/256 262144/4/8 4096/8/256 2048/16/256 131072/8/8 65536/16/8 16384/1/512"},
+	}
+	for _, c := range cases {
+		var got []string
+		for _, g := range CacheCandidates(BudgetNs(c.clockNs, c.cycles, tp), c.level, tp) {
+			got = append(got, fmt.Sprintf("%d/%d/%d", g.Sets, g.Assoc, g.BlockBytes))
+		}
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("L%d at %.2fns x %d cycles:\n got  %s\nwant %s", c.level, c.clockNs, c.cycles, s, c.want)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestFleetAggregation(t *testing.T) {
 	sched := New(sess, Options{})
 	f := NewFleet(sched, []string{
 		strings.TrimPrefix(peerSrv.URL, "http://"), // host:port form, like -cache-peers
-		"127.0.0.1:1",                              // nothing listens here
+		"127.0.0.1:1", // nothing listens here
 	}, FleetOptions{Timeout: 500 * time.Millisecond})
 	sched.SetFleet(f)
 	f.EnableTelemetry(reg)

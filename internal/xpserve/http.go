@@ -16,7 +16,8 @@
 // if this fails; /readyz is READINESS — send it new work only on 200. A
 // full backlog or a dead cache tier flips readiness while liveness stays
 // green. Errors are JSON {"error": ...} with conventional status codes:
-// 400 malformed, 404 unknown job, 429 backlog full, 503 shutting down.
+// 400 malformed or over 1 MiB, 404 unknown job, 429 backlog full, 503
+// shutting down.
 
 package xpserve
 
@@ -70,9 +71,13 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxJobBodyBytes bounds a POST /v1/jobs body. A job request is a few
+// hundred bytes of knobs and workload names.
+const maxJobBodyBytes = 1 << 20
+
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("xpserve: decoding job request: %w", err))

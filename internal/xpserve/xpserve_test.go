@@ -276,6 +276,25 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestOversizeJobBodyRejected: a submission over the 1 MiB body bound is
+// refused with 400 and creates no job, even when it is otherwise valid
+// JSON (here an explore request padded with whitespace).
+func TestOversizeJobBodyRejected(t *testing.T) {
+	srv, sched := newTestServer(t, Options{})
+	body := `{"kind": "explore",` + strings.Repeat(" ", maxJobBodyBytes) + `"seed": 1}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversize body: status %d, want 400", resp.StatusCode)
+	}
+	if jobs := sched.List(); len(jobs) != 0 {
+		t.Fatalf("oversize body created %d jobs, want 0", len(jobs))
+	}
+}
+
 // TestBacklogBound: submits beyond MaxJobs+Backlog are rejected with the
 // backlog error while earlier jobs still complete.
 func TestBacklogBound(t *testing.T) {
