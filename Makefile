@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-smoke bench-compare fleet-smoke verify clean
+.PHONY: all build test vet race race-hot fuzz-smoke bench bench-smoke bench-compare fleet-smoke verify clean
 
 all: build
 
@@ -22,10 +22,17 @@ race:
 # race-hot is the focused race gate for the concurrency-heavy packages:
 # the evaluation engine, the telemetry substrate, the annealer, the
 # kernel packages whose introspection taps feed a shared ring from
-# concurrent workers, the write-behind disk and remote cache tiers, and
-# the multi-tenant job scheduler.
+# concurrent workers, the write-behind disk and remote cache tiers, the
+# multi-tenant job scheduler, and the shared cache access-time table.
 race-hot:
-	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/explore ./internal/pipeline ./internal/sim ./internal/introspect ./internal/evalstore ./internal/evalremote ./internal/xpserve
+	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/explore ./internal/pipeline ./internal/sim ./internal/introspect ./internal/evalstore ./internal/evalremote ./internal/xpserve ./internal/timing
+
+# fuzz-smoke fuzzes the two parsers of untrusted cache input — the record
+# decoder (disk files, peer bodies) and the key parser (filenames, URLs) —
+# for 10s each, on top of their committed seed corpora.
+fuzz-smoke:
+	$(GO) test ./internal/evalstore -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s
+	$(GO) test ./internal/evalengine -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime 10s
 
 # bench reports the headline reproduction metrics plus the evaluation
 # engine's cache hit rate and sim-latency quantiles (cacheHit%, simP50ms,

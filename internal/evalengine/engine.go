@@ -18,11 +18,13 @@ package evalengine
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xpscalar/internal/fieldcodec"
 	"xpscalar/internal/introspect"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/power"
@@ -503,16 +505,31 @@ func New(o Options) *Engine {
 func (e *Engine) Pool() *Pool { return e.pool }
 
 // Fingerprint is the canonical preimage of an evaluation request's cache
-// identity (its Key is this string's SHA-256 digest; see key.go). Any
-// change to any field of the configuration, profile, technology, budget or
-// objective changes the fingerprint. The %#v verb is essential: unlike
-// %v/%+v it bypasses String() methods (sim.Config's String rounds the
-// clock period to two decimals, which would collide distinct
-// configurations) and prints floats at full shortest-round-trip precision,
-// so the encoding is collision-free over value-type structs and
-// automatically covers fields added later.
-func Fingerprint(cfg sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) string {
-	return fmt.Sprintf("cfg{%#v}|wl{%#v}|n=%d|tech{%#v}|obj=%d", cfg, p, budget, t, int(obj))
+// identity (its Key is the SHA-256 digest of these bytes; see key.go):
+// ModelEpoch, then the internal/fieldcodec encoding of the configuration,
+// profile, budget, technology and objective, in that order. The encoding
+// walks every field of every struct in declaration order, so a field added
+// later to sim.Config, workload.Profile or tech.Params is covered without
+// touching this function; floats enter as their exact bits, and the
+// fixed, prefix-free layout makes two requests' preimages equal exactly
+// when every field of the tuple is equal. No String method is consulted
+// (sim.Config's rounds the clock period to two decimals, which would
+// collide distinct configurations).
+func Fingerprint(cfg sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) []byte {
+	return appendFingerprint(make([]byte, 0, fingerprintCap), cfg, p, budget, t, obj)
+}
+
+// fingerprintCap covers the preimage of a request whose profile name fits
+// in a few dozen bytes, so KeyOf's stack buffer never grows.
+const fingerprintCap = 512
+
+func appendFingerprint(dst []byte, cfg sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, ModelEpoch)
+	dst = fieldcodec.Append(dst, &cfg)
+	dst = fieldcodec.Append(dst, &p)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(budget))
+	dst = fieldcodec.Append(dst, &t)
+	return binary.LittleEndian.AppendUint64(dst, uint64(obj))
 }
 
 // cacheShard is one lock domain of the memo cache: an LRU-bounded map from

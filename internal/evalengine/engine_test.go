@@ -155,9 +155,10 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // TestFingerprintDistinguishesFields: every field of the request tuple
-// must affect the fingerprint. This guards against formatting regressions —
-// notably, sim.Config's String() rounds the clock period to two decimals,
-// so a Stringer-based encoding would collide distinct configurations.
+// must affect the byte preimage, and so the key. This guards against
+// encoding regressions — notably, sim.Config's String() rounds the clock
+// period to two decimals, so a Stringer-based encoding would collide
+// distinct configurations.
 func TestFingerprintDistinguishesFields(t *testing.T) {
 	tp := tech.Default()
 	base := sim.InitialConfig(tp)
@@ -187,14 +188,18 @@ func TestFingerprintDistinguishesFields(t *testing.T) {
 		"Bpred.Hist":     func(c *sim.Config) { c.Bpred.HistBits++ },
 	}
 
-	ref := Fingerprint(base, p, 5000, tp, power.ObjIPT)
-	seen := map[string]string{"<base>": ref}
+	ref := string(Fingerprint(base, p, 5000, tp, power.ObjIPT))
+	refKey := KeyOf(base, p, 5000, tp, power.ObjIPT)
+	seen := map[string]string{ref: "<base>"}
 	for name, mutate := range mutations {
 		cfg := base
 		mutate(&cfg)
-		fp := Fingerprint(cfg, p, 5000, tp, power.ObjIPT)
+		fp := string(Fingerprint(cfg, p, 5000, tp, power.ObjIPT))
 		if fp == ref {
 			t.Errorf("mutating %s did not change the fingerprint", name)
+		}
+		if KeyOf(cfg, p, 5000, tp, power.ObjIPT) == refKey {
+			t.Errorf("mutating %s did not change the key", name)
 		}
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("mutations %s and %s collide", name, prev)
@@ -203,26 +208,23 @@ func TestFingerprintDistinguishesFields(t *testing.T) {
 	}
 
 	// Non-config components of the tuple.
-	if Fingerprint(base, p, 5001, tp, power.ObjIPT) == ref {
-		t.Error("budget does not change the fingerprint")
-	}
 	p2 := p
 	p2.Seed++
-	if Fingerprint(base, p2, 5000, tp, power.ObjIPT) == ref {
-		t.Error("profile seed does not change the fingerprint")
-	}
 	p3 := p
 	p3.Name = "other"
-	if Fingerprint(base, p3, 5000, tp, power.ObjIPT) == ref {
-		t.Error("profile name does not change the fingerprint")
-	}
 	t2 := tp
 	t2.MemoryLatencyNs++
-	if Fingerprint(base, p, 5000, t2, power.ObjIPT) == ref {
-		t.Error("technology does not change the fingerprint")
+	others := map[string]Key{
+		"budget":       KeyOf(base, p, 5001, tp, power.ObjIPT),
+		"profile seed": KeyOf(base, p2, 5000, tp, power.ObjIPT),
+		"profile name": KeyOf(base, p3, 5000, tp, power.ObjIPT),
+		"technology":   KeyOf(base, p, 5000, t2, power.ObjIPT),
+		"objective":    KeyOf(base, p, 5000, tp, power.ObjIPTPerWatt),
 	}
-	if Fingerprint(base, p, 5000, tp, power.ObjIPTPerWatt) == ref {
-		t.Error("objective does not change the fingerprint")
+	for name, k := range others {
+		if k == refKey {
+			t.Errorf("%s does not change the key", name)
+		}
 	}
 }
 

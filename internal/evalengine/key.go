@@ -1,11 +1,14 @@
 // The cache identity of an evaluation request. The engine's original
-// identity was the raw %#v fingerprint string — correct, but an awkward
-// citizen the moment results leave process memory: multi-megabyte runs
-// carried full struct renderings as map keys, and the string is unusable
-// as an on-disk filename. Key keeps the %#v rendering as the *preimage*
-// (it is what makes the encoding collision-free over value-type structs)
-// and makes the *identity* its SHA-256 digest: fixed-size, stable across
-// processes and builds, safe as a content address in a persistent store,
+// identity was a %#v rendering of the request tuple — collision-free over
+// value-type structs and automatic for fields added later, but it cost a
+// reflective formatting pass and a few hundred bytes of text on every
+// lookup, hits included, and the string is unusable as an on-disk
+// filename. Key keeps both properties and drops the cost: the preimage is
+// the internal/fieldcodec binary encoding of the tuple (the same field
+// walker that lays out persistent records, so it covers later fields
+// automatically and is exact over floats), opened by ModelEpoch, and the
+// identity is its SHA-256 digest: fixed-size, stable across processes and
+// builds of one epoch, safe as a content address in a persistent store,
 // and uniformly distributed so cache sharding and directory fanout both
 // fall out of the first bytes.
 
@@ -15,12 +18,21 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"strings"
 
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/workload"
 )
+
+// ModelEpoch names the simulator's behaviour: every result the current
+// kernel, cache, predictor and stream models produce belongs to this
+// epoch. It opens every key preimage and is stored in every persistent
+// record, so a change that moves any simulation result — which
+// TestModelEpochPinsGoldens refuses until the epoch is bumped — orphans
+// every cached evaluation of the old models instead of serving it.
+const ModelEpoch uint64 = 1
 
 // Key is the canonical identity of one evaluation request: the SHA-256
 // digest of the request's Fingerprint preimage. Two requests have equal
@@ -30,11 +42,11 @@ import (
 // persistent store. The zero Key is not a valid identity.
 type Key [sha256.Size]byte
 
-// KeyOf derives the request's key: the SHA-256 digest of its canonical
-// %#v fingerprint (see Fingerprint for why that preimage is
-// collision-free).
+// KeyOf derives the request's key: the SHA-256 digest of its Fingerprint
+// preimage, built in a stack buffer.
 func KeyOf(cfg sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) Key {
-	return Key(sha256.Sum256([]byte(Fingerprint(cfg, p, budget, t, obj))))
+	var buf [fingerprintCap]byte
+	return Key(sha256.Sum256(appendFingerprint(buf[:0], cfg, p, budget, t, obj)))
 }
 
 // String returns the key as 64 lowercase hex digits — the form used for
@@ -52,13 +64,16 @@ func (k Key) shardIndex(n int) int {
 }
 
 // ParseKey parses the 64-hex-digit form back into a Key (the persistent
-// store uses it to recover identities from filenames).
+// store uses it to recover identities from filenames). Only the canonical
+// lowercase form String produces is accepted, so every key has exactly
+// one spelling — one filename, one URL.
 func ParseKey(s string) (Key, bool) {
 	var k Key
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != sha256.Size {
+	if len(s) != hex.EncodedLen(len(k)) || strings.ToLower(s) != s {
 		return Key{}, false
 	}
-	copy(k[:], b)
+	if _, err := hex.Decode(k[:], []byte(s)); err != nil {
+		return Key{}, false
+	}
 	return k, true
 }

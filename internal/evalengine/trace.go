@@ -10,10 +10,10 @@ package evalengine
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"xpscalar/internal/fieldcodec"
 	"xpscalar/internal/workload"
 )
 
@@ -65,9 +65,9 @@ func newTraceStore(capInstr int) *traceStore {
 }
 
 // profileKey canonically fingerprints a profile: two profiles with equal
-// fields generate identical streams. %#v bypasses any String method and
-// keeps full float precision (see Fingerprint).
-func profileKey(p workload.Profile) string { return fmt.Sprintf("%#v", p) }
+// fields generate identical streams. It is the profile's fieldcodec
+// encoding, the same exact field walk the request Fingerprint uses.
+func profileKey(p workload.Profile) string { return string(fieldcodec.Append(nil, &p)) }
 
 // source returns a Source replaying the first n instructions of the
 // profile's stream, materializing (or extending) the cached trace as

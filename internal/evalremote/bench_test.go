@@ -18,10 +18,10 @@ func startBenchPeer(b *testing.B, src Source) *httptest.Server {
 }
 
 // BenchmarkEvalRemoteHit measures the remote-tier read-through path over
-// loopback HTTP: one GET to the owning peer, header check, gob decode.
-// This is the latency a fleet member pays per evaluation pulled from a
-// warm peer instead of a simulation — the number to weigh against the
-// multi-millisecond simulations it replaces.
+// loopback HTTP: one GET to the owning peer, header, epoch and key checks,
+// field decode. This is the latency a fleet member pays per evaluation
+// pulled from a warm peer instead of a simulation — the number to weigh
+// against the multi-millisecond simulations it replaces.
 func BenchmarkEvalRemoteHit(b *testing.B) {
 	src := newMapSource()
 	srv := startBenchPeer(b, src)

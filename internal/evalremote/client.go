@@ -269,7 +269,11 @@ func (c *Client) getOnce(ctx context.Context, p *peer, k evalengine.Key) (evalen
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		val, err := evalstore.DecodeRecord(io.LimitReader(resp.Body, c.o.MaxRecordBytes))
+		body, err := io.ReadAll(io.LimitReader(resp.Body, c.o.MaxRecordBytes))
+		if err != nil {
+			return evalengine.Eval{}, false, err
+		}
+		val, err := evalstore.DecodeRecord(body, k)
 		if err != nil {
 			return evalengine.Eval{}, false, err
 		}
@@ -342,9 +346,10 @@ func (c *Client) GetBatchCtx(ctx context.Context, keys []evalengine.Key) map[eva
 				c.misses.Add(1)
 				continue
 			}
-			val, err := evalstore.DecodeRecord(bytes.NewReader(body))
+			val, err := evalstore.DecodeRecord(body, k)
 			if err != nil {
-				// One bad record is that record's problem, not the batch's.
+				// One bad record — undecodable, or the record of another
+				// key or epoch — is that record's problem, not the batch's.
 				c.errors.Add(1)
 				c.misses.Add(1)
 				continue
@@ -425,16 +430,11 @@ func (c *Client) writeNow(k evalengine.Key, val evalengine.Eval) {
 		c.dropped.Add(1)
 		return
 	}
-	var buf bytes.Buffer
-	if err := evalstore.EncodeRecord(&buf, val); err != nil {
-		c.errors.Add(1)
-		c.dropped.Add(1)
-		return
-	}
-	err := c.putOnce(p, k, buf.Bytes())
+	body := evalstore.EncodeRecord(k, val)
+	err := c.putOnce(p, k, body)
 	if err != nil && c.retryToken() {
 		time.Sleep(c.o.Backoff)
-		err = c.putOnce(p, k, buf.Bytes())
+		err = c.putOnce(p, k, body)
 	}
 	if err != nil {
 		p.noteFailure(int32(c.o.FailThreshold), c.o.Cooldown)

@@ -2,14 +2,15 @@
 // a fleet of processes share one content-addressed eval corpus at wire
 // speed. The server side mounts three routes beside xpserved's job API —
 //
-//	GET  /v1/cache/{key}   one record (200 + gob record body, or 404)
-//	PUT  /v1/cache/{key}   store one record (204)
+//	GET  /v1/cache/{key}   one record (200 + record body, or 404)
+//	PUT  /v1/cache/{key}   store one record (204; 400 if the record
+//	                       names another key or model epoch)
 //	POST /v1/cache/lookup  batched multi-get ({"keys": [hex...]} →
 //	                       {"hits": {hex: base64 record}})
 //
 // — serving the process's memory LRU plus its local disk store with the
-// exact record encoding evalstore writes to disk (versioned header + gob),
-// so the two persistent tiers stay byte-compatible by construction. The
+// exact record encoding evalstore writes to disk (versioned header, model
+// epoch, key, field-encoded evaluation), so the two persistent tiers stay byte-compatible by construction. The
 // client side is an evalengine.CacheBackend that composes behind the
 // in-memory LRU and the local disk tier (memory → disk → remote): a
 // remote hit costs one HTTP round trip instead of a multi-millisecond
@@ -33,8 +34,9 @@
 //     successes) with a short backoff; past the budget they miss
 //   - a peer that fails repeatedly trips a breaker and is skipped for a
 //     cooldown, so a dead peer costs nothing per key
-//   - a corrupt or wrong-version record body is a decode failure and a
-//     miss, exactly like a quarantined disk record
+//   - a corrupt or wrong-version record body, or the record of another
+//     key or model epoch, is a decode failure and a miss, exactly like a
+//     quarantined disk record
 //
 // Writes are write-behind like the disk tier's — Put enqueues and
 // returns, a writer goroutine delivers, Flush is a FIFO barrier — but a

@@ -7,7 +7,9 @@
 package evalremote
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"xpscalar/internal/evalengine"
+	"xpscalar/internal/evalstore"
 	"xpscalar/internal/sim"
 )
 
@@ -258,6 +261,67 @@ func TestCorruptAndWrongVersionRecords(t *testing.T) {
 				t.Fatalf("stats %+v, want 0 hits, 2 misses, errors counted", st)
 			}
 		})
+	}
+}
+
+// foreignRecordPeer answers every GET and every lookup with a
+// well-formed record of another key — a misrouted or tampered answer.
+func foreignRecordPeer(t *testing.T) *httptest.Server {
+	t.Helper()
+	rec := evalstore.EncodeRecord(synthKey(99), testEval(9))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/lookup") {
+			json.NewEncoder(w).Encode(lookupResponse{Hits: map[string][]byte{synthKey(1).String(): rec}})
+			return
+		}
+		w.Write(rec)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestGetRejectsForeignRecord: a GET answered with the record of another
+// key is an error and a miss, not a hit for the requested key.
+func TestGetRejectsForeignRecord(t *testing.T) {
+	c := newTestClient(t, []string{foreignRecordPeer(t).URL}, Options{})
+	if _, ok := c.Get(synthKey(1)); ok {
+		t.Fatal("Get served the record of another key")
+	}
+	if st := c.Stats(); st.RemoteHits != 0 || st.RemoteMisses != 1 || st.RemoteErrors != 1 {
+		t.Fatalf("stats %+v, want 0 hits, 1 miss, 1 error", st)
+	}
+}
+
+// TestLookupRejectsForeignRecord: a batched lookup whose answer for a key
+// is the record of another key counts that key as an error and a miss.
+func TestLookupRejectsForeignRecord(t *testing.T) {
+	c := newTestClient(t, []string{foreignRecordPeer(t).URL}, Options{})
+	if got := c.GetBatch([]evalengine.Key{synthKey(1)}); len(got) != 0 {
+		t.Fatalf("lookup served the record of another key: %v", got)
+	}
+	if st := c.Stats(); st.RemoteHits != 0 || st.RemoteMisses != 1 || st.RemoteErrors != 1 {
+		t.Fatalf("stats %+v, want 0 hits, 1 miss, 1 error", st)
+	}
+}
+
+// TestPutRejectsForeignRecord: a PUT whose body is a well-formed record
+// of another key than its path names is a 400 and stores nothing, so a
+// peer never files a record under a key it was not produced for.
+func TestPutRejectsForeignRecord(t *testing.T) {
+	src := newMapSource()
+	srv := startPeer(t, src)
+	body := evalstore.EncodeRecord(synthKey(2), testEval(2))
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/cache/"+synthKey(1).String(), bytes.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT of another key's record: %d, want 400", resp.StatusCode)
+	}
+	if src.len() != 0 {
+		t.Fatal("PUT of another key's record stored it")
 	}
 }
 

@@ -1,9 +1,9 @@
 package evalremote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 
 	"xpscalar/internal/evalengine"
@@ -94,11 +94,13 @@ func lookup(ctx context.Context, src Source, key evalengine.Key) (evalengine.Eva
 }
 
 // Register mounts the cache routes on mux. The record body format is
-// evalstore's exact on-disk encoding (versioned header + gob), written
-// and read through EncodeRecord/DecodeRecord. A record that fails to
-// decode is a 400; a miss is a 404; PUT trusts the fleet to address
-// records correctly (keys are content hashes of the request, not the
-// record, so the server cannot re-derive them).
+// evalstore's exact on-disk encoding (versioned header, model epoch, key,
+// field-encoded evaluation), written and read through
+// EncodeRecord/DecodeRecord. A miss is a 404. A PUT record that fails to
+// decode, or names another key or model epoch than the one in its path,
+// is a 400 and stores nothing: keys are content hashes of the request,
+// not the record, so the server cannot re-derive them, but a record can
+// only land under the key it was produced for.
 //
 // rec, when non-nil, records one serve.* span per handler invocation,
 // stamped with the caller's propagated trace context (trace ID, remote
@@ -120,13 +122,8 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 			http.Error(w, "miss", http.StatusNotFound)
 			return
 		}
-		var buf bytes.Buffer
-		if err := evalstore.EncodeRecord(&buf, val); err != nil {
-			http.Error(w, "encode", http.StatusInternalServerError)
-			return
-		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(buf.Bytes())
+		w.Write(evalstore.EncodeRecord(key, val))
 	})
 
 	mux.HandleFunc("PUT /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
@@ -138,7 +135,12 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 		h := tracing.Root(rec)
 		sp := h.BeginRemote(tracing.KindServePut, shortKey(key), 1, tracing.Extract(r.Header))
 		defer h.End(sp)
-		val, err := evalstore.DecodeRecord(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			http.Error(w, "bad body", http.StatusBadRequest)
+			return
+		}
+		val, err := evalstore.DecodeRecord(body, key)
 		if err != nil {
 			http.Error(w, "bad record", http.StatusBadRequest)
 			return
@@ -172,11 +174,7 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 			if !ok {
 				continue
 			}
-			var buf bytes.Buffer
-			if err := evalstore.EncodeRecord(&buf, val); err != nil {
-				continue
-			}
-			hits[hex] = buf.Bytes()
+			hits[hex] = evalstore.EncodeRecord(key, val)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(lookupResponse{Hits: hits})

@@ -17,17 +17,40 @@
 //     write can never expose a truncated record under a valid name.
 //   - Every record opens with a versioned header; bumping the format
 //     version orphans old records cleanly instead of misreading them.
-//   - A record that fails to read — truncated, wrong version, undecodable
-//     — is moved to <dir>/quarantine/ and reported as a miss, never as an
-//     error: corruption costs one re-simulation, not a failed run.
+//   - Every record carries the key it was stored under and the model
+//     epoch (evalengine.ModelEpoch) of the simulator that produced it, so
+//     a record is self-verifying: one found under the wrong name, or
+//     produced by other models, is rejected like a corrupt one.
+//   - A record that fails to read — truncated, wrong version, wrong key
+//     or epoch, undecodable, trailing bytes — is moved to
+//     <dir>/quarantine/ and reported as a miss, never as an error:
+//     corruption costs one re-simulation, not a failed run.
 //   - Writes are write-behind: Put enqueues and returns; a single writer
 //     goroutine drains the queue. Flush (and Close) block until everything
 //     accepted so far is durable. A full queue applies backpressure by
 //     writing synchronously in the caller rather than dropping.
+//
+// Record layout (xpeval-record-v2), all integers little-endian:
+//
+//	header  17 bytes   "xpeval-record-v2\n"
+//	epoch    8 bytes   evalengine.ModelEpoch of the producing simulator
+//	key     32 bytes   the evalengine.Key the record is stored under
+//	eval     rest      the internal/fieldcodec encoding of evalengine.Eval:
+//	                   every field in declaration order, 8 bytes per
+//	                   int, uint and float (floats as math.Float64bits),
+//	                   the Workload string as an 8-byte length and its
+//	                   bytes
+//
+// The layout is fixed by the Go types, so a record has exactly one valid
+// length for its Workload name: a short record or trailing bytes are a
+// decode error. The same bytes are the body of every internal/evalremote
+// record transfer.
 package evalstore
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -37,6 +60,7 @@ import (
 	"sync/atomic"
 
 	"xpscalar/internal/evalengine"
+	"xpscalar/internal/fieldcodec"
 	"xpscalar/internal/store"
 )
 
@@ -44,7 +68,12 @@ import (
 // version: bump it when the record encoding changes shape and every record
 // written under the old format quarantines on first read instead of
 // decoding wrong.
-const header = "xpeval-record-v1\n"
+const header = "xpeval-record-v2\n"
+
+// errHeader reports a record that does not open with the current header:
+// another format version, or not a record at all. Nothing past the header
+// is read.
+var errHeader = errors.New("evalstore: not an " + header[:len(header)-1] + " record")
 
 // quarantineDir collects records that failed to read.
 const quarantineDir = "quarantine"
@@ -57,11 +86,6 @@ type Options struct {
 	// QueueDepth bounds the write-behind queue (default 256). A full
 	// queue never drops: Put degrades to a synchronous write instead.
 	QueueDepth int
-}
-
-// record is the gob payload of one file.
-type record struct {
-	Eval evalengine.Eval
 }
 
 // writeReq is one unit of work for the writer goroutine: either a record
@@ -165,16 +189,16 @@ func (s *Store) path(k evalengine.Key) string {
 
 // Get implements evalengine.CacheBackend: it returns the stored
 // evaluation, or a miss. Any read failure — absent file aside — moves the
-// record to quarantine and reports a miss.
+// record to quarantine and reports a miss, and so does a record that
+// names another key or model epoch than the one requested.
 func (s *Store) Get(k evalengine.Key) (evalengine.Eval, bool) {
 	path := s.path(k)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
 		return evalengine.Eval{}, false
 	}
-	val, err := DecodeRecord(f)
-	f.Close()
+	val, err := DecodeRecord(data, k)
 	if err != nil {
 		s.quarantine(path, err)
 		s.misses.Add(1)
@@ -184,33 +208,63 @@ func (s *Store) Get(k evalengine.Key) (evalengine.Eval, bool) {
 	return val, true
 }
 
-// DecodeRecord checks the version header and decodes one record payload.
-// It is the single reader of the record wire format: the disk tier uses
-// it on files, the remote tier (internal/evalremote) on HTTP bodies, so
-// the two tiers stay byte-compatible by construction and a version bump
-// orphans both at once.
-func DecodeRecord(r io.Reader) (evalengine.Eval, error) {
-	buf := make([]byte, len(header))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return evalengine.Eval{}, fmt.Errorf("evalstore: short header: %w", err)
-	}
-	if string(buf) != header {
-		return evalengine.Eval{}, fmt.Errorf("evalstore: header %q, want %q", buf, header)
-	}
-	var rec record
-	if err := gob.NewDecoder(r).Decode(&rec); err != nil {
-		return evalengine.Eval{}, fmt.Errorf("evalstore: decode: %w", err)
-	}
-	return rec.Eval, nil
+// recordCap covers a record whose workload name fits in a few dozen
+// bytes, so encoding it is one allocation.
+const recordCap = 512
+
+// EncodeRecord returns the record of val stored under k — versioned
+// header, model epoch, key, field-encoded evaluation (see the package
+// doc) — the inverse of DecodeRecord and the store's exact on-disk
+// encoding.
+func EncodeRecord(k evalengine.Key, val evalengine.Eval) []byte {
+	b := append(make([]byte, 0, recordCap), header...)
+	b = binary.LittleEndian.AppendUint64(b, evalengine.ModelEpoch)
+	b = append(b, k[:]...)
+	return fieldcodec.Append(b, &val)
 }
 
-// EncodeRecord writes one record — versioned header plus gob payload —
-// the inverse of DecodeRecord and the store's exact on-disk encoding.
-func EncodeRecord(w io.Writer, val evalengine.Eval) error {
-	if _, err := io.WriteString(w, header); err != nil {
-		return err
+// DecodeRecord decodes one record and checks that it is the record of
+// key k under the current model epoch. It is the single reader of the
+// record wire format: the disk tier uses it on files, the remote tier
+// (internal/evalremote) on HTTP bodies, so the two tiers stay
+// byte-compatible by construction and a version bump orphans both at
+// once.
+func DecodeRecord(b []byte, k evalengine.Key) (evalengine.Eval, error) {
+	got, val, err := decodeRecord(b)
+	if err != nil {
+		return evalengine.Eval{}, err
 	}
-	return gob.NewEncoder(w).Encode(record{Eval: val})
+	if got != k {
+		return evalengine.Eval{}, fmt.Errorf("evalstore: record of key %s requested as %s", got, k)
+	}
+	return val, nil
+}
+
+// decodeRecord parses one record of the current version and epoch,
+// returning the key it names. It accepts exactly the byte strings
+// EncodeRecord produces.
+func decodeRecord(b []byte) (evalengine.Key, evalengine.Eval, error) {
+	var k evalengine.Key
+	if !bytes.HasPrefix(b, []byte(header)) {
+		return k, evalengine.Eval{}, errHeader
+	}
+	b = b[len(header):]
+	if len(b) < 8+len(k) {
+		return k, evalengine.Eval{}, errors.New("evalstore: short record")
+	}
+	if epoch := binary.LittleEndian.Uint64(b); epoch != evalengine.ModelEpoch {
+		return k, evalengine.Eval{}, fmt.Errorf("evalstore: record of model epoch %d, want %d", epoch, evalengine.ModelEpoch)
+	}
+	copy(k[:], b[8:])
+	var val evalengine.Eval
+	rest, err := fieldcodec.Decode(b[8+len(k):], &val)
+	if err != nil {
+		return k, evalengine.Eval{}, fmt.Errorf("evalstore: decode: %w", err)
+	}
+	if len(rest) != 0 {
+		return k, evalengine.Eval{}, fmt.Errorf("evalstore: %d trailing bytes", len(rest))
+	}
+	return k, val, nil
 }
 
 // GetBatch implements evalengine.BatchGetter with one sequential pass
@@ -288,11 +342,9 @@ func (s *Store) writeNow(k evalengine.Key, val evalengine.Eval) {
 	if existed {
 		oldSize = info.Size()
 	}
-	var written int64
+	rec := EncodeRecord(k, val)
 	err := store.WriteAtomic(path, func(w io.Writer) error {
-		cw := &countWriter{w: w}
-		err := EncodeRecord(cw, val)
-		written = cw.n
+		_, err := w.Write(rec)
 		return err
 	})
 	if err != nil {
@@ -300,23 +352,10 @@ func (s *Store) writeNow(k evalengine.Key, val evalengine.Eval) {
 		return
 	}
 	s.writes.Add(1)
-	s.bytes.Add(written - oldSize)
+	s.bytes.Add(int64(len(rec)) - oldSize)
 	if !existed {
 		s.entries.Add(1)
 	}
-}
-
-// countWriter counts the bytes written through it, so the store's byte
-// gauge tracks record sizes without a second stat.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 func (s *Store) noteWriteErr(err error) {

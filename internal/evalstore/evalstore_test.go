@@ -6,7 +6,10 @@
 package evalstore
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +17,7 @@ import (
 	"testing"
 
 	"xpscalar/internal/evalengine"
+	"xpscalar/internal/fieldcodec"
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
@@ -156,7 +160,8 @@ func TestTruncatedRecordQuarantined(t *testing.T) {
 
 // TestWrongVersionQuarantined: a record from a future (or past) format
 // version is quarantined on read, so a format bump cleanly invalidates an
-// old directory instead of misdecoding it.
+// old directory instead of misdecoding it. The stale header is derived
+// from the current one, so the test keeps asserting this across bumps.
 func TestWrongVersionQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -171,8 +176,11 @@ func TestWrongVersionQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(raw), "xpeval-record-v1", "xpeval-record-v0", 1)
-	if err := os.WriteFile(path, []byte(old), 0o666); err != nil {
+	if !strings.HasPrefix(string(raw), header) {
+		t.Fatalf("record does not open with %q", header)
+	}
+	stale := strings.TrimSuffix(header, "\n") + "-stale\n"
+	if err := os.WriteFile(path, append([]byte(stale), raw[len(header):]...), 0o666); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,6 +189,106 @@ func TestWrongVersionQuarantined(t *testing.T) {
 	}
 	if st := s.Stats(); st.Quarantined != 1 {
 		t.Fatalf("stats %+v, want 1 quarantined", st)
+	}
+}
+
+// TestV1GobRecordQuarantined: a record written by the gob-encoded v1
+// format (testdata/record-v1.gob, produced by that format's
+// EncodeRecord) is rejected at its header — nothing after it is decoded —
+// and a store that finds one quarantines it as a miss.
+func TestV1GobRecordQuarantined(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "record-v1.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(v1), "xpeval-record-v1\n") {
+		t.Fatalf("fixture is not a v1 record: %q", v1[:20])
+	}
+	k := testKey(6)
+	if _, err := DecodeRecord(v1, k); !errors.Is(err, errHeader) {
+		t.Fatalf("v1 record: err %v, want a header rejection", err)
+	}
+
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	path := plantRecord(t, s, k)
+	if err := os.WriteFile(path, v1, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("v1 record served as a hit")
+	}
+	if st := s.Stats(); st.Quarantined != 1 || st.Entries != 0 {
+		t.Fatalf("stats %+v, want 1 quarantined, 0 entries", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, k.String())); err != nil {
+		t.Fatalf("v1 record not in quarantine: %v", err)
+	}
+}
+
+// TestForeignRecordQuarantined: a record is self-verifying. A well-formed
+// record found under another key's name — a misplaced file, a copy
+// between directories — and a record of another model epoch both
+// quarantine as misses instead of being served for the requested key.
+func TestForeignRecordQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	k, other := testKey(7), testKey(8)
+
+	path := plantRecord(t, s, k)
+	if err := os.WriteFile(path, EncodeRecord(other, testEval(3)), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("record of another key served as a hit")
+	}
+
+	path = plantRecord(t, s, k)
+	rec := EncodeRecord(k, testEval(3))
+	binary.LittleEndian.PutUint64(rec[len(header):], evalengine.ModelEpoch+1)
+	if err := os.WriteFile(path, rec, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("record of another model epoch served as a hit")
+	}
+	if st := s.Stats(); st.Quarantined != 2 {
+		t.Fatalf("stats %+v, want 2 quarantined", st)
+	}
+}
+
+// TestRecordLayout: the record is the documented fixed layout — header,
+// epoch, key, field-encoded evaluation — and any byte short of it or past
+// it is a decode error.
+func TestRecordLayout(t *testing.T) {
+	k := testKey(9)
+	val := testEval(1.5)
+	rec := EncodeRecord(k, val)
+	want := []byte(header)
+	want = binary.LittleEndian.AppendUint64(want, evalengine.ModelEpoch)
+	want = append(want, k[:]...)
+	want = fieldcodec.Append(want, &val)
+	if !bytes.Equal(rec, want) {
+		t.Fatalf("record layout:\n got %x\nwant %x", rec, want)
+	}
+	if got, err := DecodeRecord(rec, k); err != nil || !reflect.DeepEqual(got, val) {
+		t.Fatalf("round trip: %+v, %v", got, err)
+	}
+	for n := 0; n < len(rec); n++ {
+		if _, err := DecodeRecord(rec[:n], k); err == nil {
+			t.Fatalf("record cut to %d of %d bytes decoded", n, len(rec))
+		}
+	}
+	if _, err := DecodeRecord(append(rec, 0), k); err == nil {
+		t.Fatal("record with a trailing byte decoded")
 	}
 }
 
@@ -196,7 +304,7 @@ func TestGarbagePayloadQuarantined(t *testing.T) {
 	defer s.Close()
 	k := testKey(4)
 	path := plantRecord(t, s, k)
-	if err := os.WriteFile(path, []byte(header+"not gob at all"), 0o666); err != nil {
+	if err := os.WriteFile(path, []byte(header+"not a record at all"), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(k); ok {
@@ -324,8 +432,8 @@ func TestEngineReadThrough(t *testing.T) {
 }
 
 // BenchmarkEvalDiskHit measures the disk-tier read-through path: a warm
-// on-disk record served into a cold memory tier (open file, header check,
-// gob decode). This is the latency a restarted process pays per cached
+// on-disk record served into a cold memory tier (read file, header, epoch
+// and key checks, field decode). This is the latency a restarted process pays per cached
 // evaluation instead of a simulation.
 func BenchmarkEvalDiskHit(b *testing.B) {
 	dir := b.TempDir()
@@ -344,6 +452,19 @@ func BenchmarkEvalDiskHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := s.Get(k); !ok {
 			b.Fatal("miss on a flushed record")
+		}
+	}
+}
+
+// BenchmarkRecordRoundTrip is the codec alone: encode one record and
+// decode it back, the CPU a disk or remote hit pays beyond its I/O.
+func BenchmarkRecordRoundTrip(b *testing.B) {
+	k := testKey(1)
+	val := testEval(1.5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeRecord(EncodeRecord(k, val), k); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package timing
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"xpscalar/internal/cacti"
 	"xpscalar/internal/tech"
@@ -251,61 +252,81 @@ func fitPow2(min, max int, delay func(int) float64, budgetNs float64) int {
 	return best
 }
 
-// FitCacheSets returns the largest power-of-two set count within the level's
-// capacity bounds for which a cache with the given block size and
-// associativity fits the budget, or 0 if none fits.
-func FitCacheSets(budgetNs float64, assoc, blockBytes int, level int, t tech.Params) int {
-	minBytes, maxBytes := MinL1Bytes, MaxL1Bytes
-	if level == 2 {
-		minBytes, maxBytes = MinL2Bytes, MaxL2Bytes
-	}
-	best := 0
-	for sets := 16; ; sets <<= 1 {
-		g := CacheGeom{Sets: sets, Assoc: assoc, BlockBytes: blockBytes}
-		size := g.SizeBytes()
-		if size > maxBytes {
-			break
-		}
-		if !Fits(CacheAccessNs(g, t), budgetNs) {
-			break
-		}
-		if size >= minBytes {
-			best = sets
-		}
-	}
-	return best
-}
-
 // cacheAssocs and cacheBlocks bound the geometry alternatives considered by
 // the fitting search; they match the ranges observed in the paper's Table 4.
+// Set counts run from minCacheSets upward in powers of two, and never past
+// MaxL2Bytes of capacity, so maxSetSteps set counts cover every geometry
+// either level's search can visit.
 var (
 	cacheAssocs = [...]int{1, 2, 4, 8, 16}
 	cacheBlocks = [...]int{8, 16, 32, 64, 128, 256, 512}
 )
 
+const (
+	minCacheSets = 16
+	maxSetSteps  = 17 // log2(MaxL2Bytes / (minCacheSets * 1 way * 8B)) + 1
+)
+
+// accessTable holds the access time of every geometry the fitting search
+// can visit — ns[assoc][block][step] for Sets = minCacheSets<<step — for
+// one technology. Entries past MaxL2Bytes of capacity are never read.
+type accessTable struct {
+	tech tech.Params
+	ns   [len(cacheAssocs)][len(cacheBlocks)][maxSetSteps]float64
+}
+
+// lastTable is the table of the technology most recently asked for. A
+// process explores under one technology, so one table serves every
+// search; a different technology builds its own table and replaces it,
+// and a caller only ever reads the table whose tech it compared equal.
+var lastTable atomic.Pointer[accessTable]
+
+// tableFor returns the access-time table of t, building it on first use.
+func tableFor(t tech.Params) *accessTable {
+	if tb := lastTable.Load(); tb != nil && tb.tech == t {
+		return tb
+	}
+	tb := &accessTable{tech: t}
+	for ai, assoc := range cacheAssocs {
+		for bi, block := range cacheBlocks {
+			for step := 0; step < maxSetSteps; step++ {
+				g := CacheGeom{Sets: minCacheSets << step, Assoc: assoc, BlockBytes: block}
+				if g.SizeBytes() > MaxL2Bytes {
+					break
+				}
+				tb.ns[ai][bi][step] = CacheAccessNs(g, t)
+			}
+		}
+	}
+	lastTable.Store(tb)
+	return tb
+}
+
 // CacheCandidates returns every geometry within the level's capacity bounds
 // whose access time fits the budget. The result is never huge (a few dozen
 // entries) and is ordered by increasing capacity then access time, so the
-// last element is the largest fitting cache.
+// last element is the largest fitting cache. Access times come from the
+// technology's precomputed table, so a call only compares.
 func CacheCandidates(budgetNs float64, level int, t tech.Params) []CacheGeom {
 	minBytes, maxBytes := MinL1Bytes, MaxL1Bytes
 	if level == 2 {
 		minBytes, maxBytes = MinL2Bytes, MaxL2Bytes
 	}
+	tb := tableFor(t)
 	// At most one candidate per (assoc, block) pair, so the working set
 	// lives on the stack and the result is the only allocation.
 	var buf [len(cacheAssocs) * len(cacheBlocks)]fitted
 	fit := buf[:0]
-	for _, assoc := range cacheAssocs {
-		for _, block := range cacheBlocks {
+	for ai, assoc := range cacheAssocs {
+		for bi, block := range cacheBlocks {
 			// Largest set count fitting both budget and bounds.
 			var best fitted
-			for sets := 16; ; sets <<= 1 {
-				g := CacheGeom{Sets: sets, Assoc: assoc, BlockBytes: block}
+			for step := 0; step < maxSetSteps; step++ {
+				g := CacheGeom{Sets: minCacheSets << step, Assoc: assoc, BlockBytes: block}
 				if g.SizeBytes() > maxBytes {
 					break
 				}
-				ns := CacheAccessNs(g, t)
+				ns := tb.ns[ai][bi][step]
 				if !Fits(ns, budgetNs) {
 					break
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -224,6 +225,108 @@ func TestCacheCandidatesPinned(t *testing.T) {
 	}
 }
 
+// referenceCandidates is the fitting search with every access time
+// computed on the spot, as CacheCandidates did before its table.
+func referenceCandidates(budgetNs float64, level int, t tech.Params) string {
+	minBytes, maxBytes := MinL1Bytes, MaxL1Bytes
+	if level == 2 {
+		minBytes, maxBytes = MinL2Bytes, MaxL2Bytes
+	}
+	var fit []fitted
+	for _, assoc := range cacheAssocs {
+		for _, block := range cacheBlocks {
+			var best fitted
+			for sets := 16; ; sets <<= 1 {
+				g := CacheGeom{Sets: sets, Assoc: assoc, BlockBytes: block}
+				if g.SizeBytes() > maxBytes {
+					break
+				}
+				ns := CacheAccessNs(g, t)
+				if !Fits(ns, budgetNs) {
+					break
+				}
+				if g.SizeBytes() >= minBytes {
+					best = fitted{g, ns}
+				}
+			}
+			if best.g.Sets > 0 {
+				fit = append(fit, best)
+			}
+		}
+	}
+	sortFitted(fit)
+	var out []string
+	for _, f := range fit {
+		out = append(out, fmt.Sprintf("%d/%d/%d", f.g.Sets, f.g.Assoc, f.g.BlockBytes))
+	}
+	return strings.Join(out, " ")
+}
+
+func candidates(budgetNs float64, level int, t tech.Params) string {
+	var out []string
+	for _, g := range CacheCandidates(budgetNs, level, t) {
+		out = append(out, fmt.Sprintf("%d/%d/%d", g.Sets, g.Assoc, g.BlockBytes))
+	}
+	return strings.Join(out, " ")
+}
+
+// slowTech is a non-default technology: slower gates and wires, so every
+// access time, and with it every candidate list, differs from the default.
+func slowTech() tech.Params {
+	t := tech.Default()
+	t.FO4Ns *= 1.3
+	t.WireNsPerMm *= 1.5
+	return t
+}
+
+// TestCacheCandidatesOtherTech: under a non-default technology the
+// table-driven search returns exactly what computing every access time on
+// the spot returns, at budgets across both levels' ranges — the last so
+// loose that every geometry up to the capacity bound fits, which pins
+// that the table reaches the bound.
+func TestCacheCandidatesOtherTech(t *testing.T) {
+	slow := slowTech()
+	for _, level := range []int{1, 2} {
+		for _, budget := range []float64{0.3, 0.6, 1.0, 2.0, 4.0, 1000} {
+			want := referenceCandidates(budget, level, slow)
+			if got := candidates(budget, level, slow); got != want {
+				t.Errorf("L%d at %.1fns:\n got  %s\nwant %s", level, budget, got, want)
+			}
+			if level == 2 && budget == 2.0 && want == referenceCandidates(budget, level, tech.Default()) {
+				t.Fatal("slowTech does not move the candidate lists; the case tests nothing")
+			}
+		}
+	}
+}
+
+// TestCacheCandidatesAlternatingTechs: goroutines asking under two
+// technologies at once, each replacing the other's table, always get
+// their own technology's candidates.
+func TestCacheCandidatesAlternatingTechs(t *testing.T) {
+	techs := []tech.Params{tech.Default(), slowTech()}
+	want := []string{referenceCandidates(1.0, 1, techs[0]), referenceCandidates(1.0, 1, techs[1])}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				which := (g + i) % 2
+				if got := candidates(1.0, 1, techs[which]); got != want[which] {
+					errs <- fmt.Sprintf("goroutine %d step %d, tech %d: got %s, want %s", g, i, which, got, want[which])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
 func TestMaxCacheGrowsWithBudget(t *testing.T) {
 	p := tech.Default()
 	small := MaxCache(0.6, 1, p)
@@ -272,6 +375,7 @@ func TestQuickFitNeverExceedsBudget(t *testing.T) {
 
 func BenchmarkCacheCandidates(b *testing.B) {
 	p := tech.Default()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		CacheCandidates(1.0, 1, p)
 	}
